@@ -53,22 +53,30 @@ def _seconds(value: float) -> str:
     return f"{value * 1e6:.0f}µs"
 
 
+def _number(value: float) -> str:
+    return str(int(value)) if value == int(value) else f"{value:.2f}"
+
+
 def render_table(snapshot: dict[str, dict]) -> str:
     """The snapshot as an aligned human-readable table.
 
     Counters and gauges print their value; histograms print count, sum
-    and the p50/p99 latency quantiles estimated from the buckets."""
+    and the p50/p99 quantiles estimated from the buckets: interpolated
+    durations for ``*_seconds`` histograms, and bucket upper bounds for
+    count histograms."""
     rows: list[tuple[str, str, str]] = []
     for name, data in sorted(snapshot.items()):
         if data["type"] == "histogram":
             count = data["count"]
             bounds = [bound for bound, _ in data["buckets"]]
             cumulative = [cum for _, cum in data["buckets"]]
-            p50 = quantile_from_buckets(bounds, cumulative, count, 0.50)
-            p99 = quantile_from_buckets(bounds, cumulative, count, 0.99)
+            timed = name.endswith("_seconds")
+            p50 = quantile_from_buckets(bounds, cumulative, count, 0.50, timed)
+            p99 = quantile_from_buckets(bounds, cumulative, count, 0.99, timed)
+            unit = _seconds if timed else _number
             value = (
-                f"count {count}  sum {_seconds(data['sum'])}  "
-                f"p50 {_seconds(p50)}  p99 {_seconds(p99)}"
+                f"count {count}  sum {unit(data['sum'])}  "
+                f"p50 {unit(p50)}  p99 {unit(p99)}"
             )
         else:
             value = _format_value(data["value"])

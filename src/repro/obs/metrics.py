@@ -49,6 +49,10 @@ LATENCY_BUCKETS = (
     2.5,
 )
 
+#: default count buckets — productions flushed per batch, from none (a
+#: batch that reached no view) through a full catalog
+COUNT_BUCKETS = (0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
+
 
 class Counter:
     """A monotonically increasing value."""
@@ -141,14 +145,16 @@ class Histogram:
 
 
 def quantile_from_buckets(
-    bounds, cumulative, total: int, q: float
+    bounds, cumulative, total: int, q: float, interpolate: bool = True
 ) -> float:
     """Quantile estimate from cumulative bucket counts (``le`` semantics).
 
     *bounds* and *cumulative* run in parallel over the finite buckets;
     *total* includes the trailing ``+Inf`` bucket.  Shared by live
     :meth:`Histogram.quantile` and snapshot-dict rendering (the table
-    export), so both agree on interpolation."""
+    export), so both agree on interpolation.  ``interpolate=False``
+    returns the upper bound of the bucket holding the quantile instead —
+    the honest reading for integer counts."""
     if total <= 0 or not bounds:
         return 0.0
     rank = q * total
@@ -157,7 +163,7 @@ def quantile_from_buckets(
     for bound, cum in zip(bounds, cumulative):
         if cum >= rank:
             bucket_count = cum - previous_cum
-            if bucket_count <= 0:
+            if bucket_count <= 0 or not interpolate:
                 return float(bound)
             fraction = (rank - previous_cum) / bucket_count
             return previous_bound + (bound - previous_bound) * fraction
@@ -289,6 +295,11 @@ class EngineMetrics:
         self.merge_seconds = histogram(
             "repro_batch_merge_seconds",
             "Batch merge phase (production net deltas and callbacks)",
+        )
+        self.views_enlisted = histogram(
+            "repro_batch_views_enlisted",
+            "Productions flushed per batch (views the batch touched)",
+            COUNT_BUCKETS,
         )
         self.batch_seconds = histogram(
             "repro_batch_seconds",

@@ -10,21 +10,27 @@ Batched propagation
 ``engine.batch()`` opens a re-entrant scope that buffers elementary events
 instead.  On scope exit they are coalesced (:mod:`repro.rete.batch`) into
 one net delta per input signature — insert/delete pairs cancel before any
-tuple is built — which makes a single trip through every network, and each
-view's ``on_change`` callback fires **exactly once per batch** with the net
-output delta (or not at all when the batch nets to nothing).  Inside an
-open batch ``View.rows()`` is intentionally stale; it catches up at flush.
+tuple is built — which makes a single trip through every network.  While
+that trip runs the engine's :class:`BatchContext` is open: each view's
+production enlists itself on its first non-empty ``apply`` and buffers.
+The merge phase then flushes only the enlisted productions, in view
+registration order, and each fires its ``on_change`` callbacks **exactly
+once per batch** with the net output delta (or not at all when the batch
+nets to nothing).  A batch's fixed cost therefore scales with the views
+it touches, not with the views registered.  Inside an open batch
+``View.rows()`` is intentionally stale; it catches up at flush.
 
 With ``batch_transactions=True`` the engine additionally listens to
 :meth:`PropertyGraph.transaction` phases: every transaction scope becomes a
 batch that flushes at commit, and a rollback — whose compensation events
 land in the same window — nets to zero, leaving views untouched and
-callbacks silent.  The per-event path stays the default (and serves as the
-batch-size-1 ablation baseline).
+callbacks silent.  Outside any batch, each elementary event propagates on
+its own and every production fires its callbacks as it applies.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from time import perf_counter
 from typing import Any, Callable, Mapping
 
@@ -40,6 +46,25 @@ from .batch import BatchAccumulator
 from .deltas import Delta, RowInterner
 from .network import ReteNetwork
 from .sharing import SharedInputLayer, SharedSubplanLayer
+
+
+class BatchContext:
+    """The open batch that productions enlist in (see the module docstring).
+
+    ``open`` is set for the duration of a batch's dispatch phase; a
+    production whose ``apply`` yields a non-empty delta while it is set
+    appends itself to ``dirty`` once and buffers until the merge flushes it.
+    """
+
+    __slots__ = ("open", "dirty")
+
+    def __init__(self) -> None:
+        self.open = False
+        self.dirty: list = []
+
+
+#: the merge flushes enlisted productions in view registration order
+_REGISTRATION_ORDER = attrgetter("order")
 
 
 class View:
@@ -192,6 +217,8 @@ class IncrementalEngine:
         self.last_trace: tracing.Span | None = None
         self._accumulator: BatchAccumulator | None = None
         self._batch_depth = 0
+        self._batch = BatchContext()
+        self._registrations = 0
         self._dispatch_depth = 0
         if batch_transactions:
             graph.subscribe_transactions(self._on_transaction)
@@ -237,6 +264,9 @@ class IncrementalEngine:
             interner=self.interner,
         )
         network.populate()
+        network.production.batch = self._batch
+        network.production.order = self._registrations
+        self._registrations += 1
         view = View(self, compiled, network)
         self._views.append(view)
         if network.has_private_inputs:
@@ -361,38 +391,43 @@ class IncrementalEngine:
         if not changes:
             return
         metrics = self.metrics
+        batch = self._batch
         net_records = len(changes.vertex_events) + len(changes.edge_events)
-        productions = [view.network.production for view in self._views]
-        for production in productions:
-            production.begin_batch()
         if tracer is not None:
             tracer.enter("dispatch", f"net_records={net_records}", net_records)
         start = perf_counter() if metrics is not None else 0.0
+        batch.open = True
         try:
             if self.input_layer is not None:
                 self.input_layer.dispatch_batch(changes)
             for view in self._private_views:
                 view.network.dispatch_batch(changes)
         finally:
+            # Closed before any callback runs, even after a dispatch error.
+            # Writes the callbacks issue land in the fresh accumulator (or
+            # per-event when none); a production still awaiting its flush
+            # folds what they reach into its net delta.
+            batch.open = False
+            enlisted, batch.dirty = batch.dirty, []
             if metrics is not None:
                 metrics.dispatch_seconds.observe(perf_counter() - start)
             if tracer is not None:
                 tracer.exit()
-                tracer.enter("merge", f"productions={len(productions)}")
+                tracer.enter("merge", f"productions={len(self._views)}")
             start = perf_counter() if metrics is not None else 0.0
-            # callbacks fire here, outside the dispatch loops; writes they
-            # issue land in the fresh accumulator (or per-event when none).
-            # One raising callback must not strand the other productions in
-            # batch mode, so every end_batch runs before the first error
+            enlisted.sort(key=_REGISTRATION_ORDER)
+            # One raising callback must not strand the other enlisted
+            # productions, so every flush runs before the first error
             # resurfaces.
             error: BaseException | None = None
-            for production in productions:
+            for production in enlisted:
                 try:
-                    production.end_batch()
+                    production.flush()
                 except BaseException as exc:  # noqa: BLE001 - re-raised below
                     if error is None:
                         error = exc
             if metrics is not None:
+                metrics.views_enlisted.observe(len(enlisted))
                 metrics.merge_seconds.observe(perf_counter() - start)
             if tracer is not None:
                 tracer.exit()

@@ -268,7 +268,7 @@ class VertexInputNode(Node):
         subscribers (one transpose for the whole batch)."""
         delta = self.batch_delta(batch)
         if self.columnar and delta:
-            self.emit(ColumnDelta.from_delta(delta, len(self.schema.names)))
+            self.emit(ColumnDelta.from_delta(delta, len(self.schema)))
         else:
             self.emit(delta)
 
@@ -569,7 +569,7 @@ class EdgeInputNode(Node):
         (see :meth:`VertexInputNode.emit_batch`)."""
         delta = self.batch_delta(batch)
         if self.columnar and delta:
-            self.emit(ColumnDelta.from_delta(delta, len(self.schema.names)))
+            self.emit(ColumnDelta.from_delta(delta, len(self.schema)))
         else:
             self.emit(delta)
 

@@ -67,7 +67,7 @@ class JoinNode(Node):
         self.right_extra = right_extra
         self.columnar_memories = columnar_memories
         if columnar_memories:
-            left_width = len(schema.names) - len(right_extra)
+            left_width = len(schema) - len(right_extra)
             self.left_index: "Index | ColumnStore" = ColumnStore(
                 left_key, _complement(left_key, left_width)
             )
@@ -165,7 +165,7 @@ class JoinNode(Node):
                         append_mult(multiplicity * m2)
             index_update(self.right_index, keys, rows, mults)
         self.emit(
-            ColumnDelta.from_rows(out_rows, out_mults, len(self.schema.names))
+            ColumnDelta.from_rows(out_rows, out_mults, len(self.schema))
         )
 
     def _apply_columnar_store(self, delta: ColumnDelta, side: int) -> None:
@@ -228,7 +228,7 @@ class JoinNode(Node):
                 pos += 1
             self.right_index.insert_columns(keys, cols, mults)
         self.emit(
-            ColumnDelta.from_rows(out_rows, out_mults, len(self.schema.names))
+            ColumnDelta.from_rows(out_rows, out_mults, len(self.schema))
         )
 
     def state_delta(self) -> Delta:
@@ -268,7 +268,7 @@ class AntiJoinNode(Node):
         self.columnar_memories = columnar_memories
         if columnar_memories:
             self.left_index: "Index | ColumnStore" = ColumnStore(
-                left_key, _complement(left_key, len(schema.names))
+                left_key, _complement(left_key, len(schema))
             )
         else:
             self.left_index = {}
@@ -349,7 +349,7 @@ class AntiJoinNode(Node):
                         out_rows.append(left_row)
                         out_mults.append(m)
         self.emit(
-            ColumnDelta.from_rows(out_rows, out_mults, len(self.schema.names))
+            ColumnDelta.from_rows(out_rows, out_mults, len(self.schema))
         )
 
     def state_delta(self) -> Delta:
@@ -386,7 +386,7 @@ class LeftOuterJoinNode(Node):
         self.right_extra = right_extra
         self.columnar_memories = columnar_memories
         if columnar_memories:
-            left_width = len(schema.names) - len(right_extra)
+            left_width = len(schema) - len(right_extra)
             self.left_index: "Index | ColumnStore" = ColumnStore(
                 left_key, _complement(left_key, left_width)
             )
@@ -543,7 +543,7 @@ class LeftOuterJoinNode(Node):
                         out_rows.append(left_row + nulls)
                         out_mults.append(m)
         self.emit(
-            ColumnDelta.from_rows(out_rows, out_mults, len(self.schema.names))
+            ColumnDelta.from_rows(out_rows, out_mults, len(self.schema))
         )
 
     def _apply_columnar_store(self, delta: ColumnDelta, side: int) -> None:
@@ -599,7 +599,7 @@ class LeftOuterJoinNode(Node):
                             out_mults.append(m)
                 pos += 1
         self.emit(
-            ColumnDelta.from_rows(out_rows, out_mults, len(self.schema.names))
+            ColumnDelta.from_rows(out_rows, out_mults, len(self.schema))
         )
 
     def state_delta(self) -> Delta:

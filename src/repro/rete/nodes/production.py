@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from ..deltas import (
     ColumnDelta,
@@ -13,17 +13,24 @@ from ..deltas import (
 )
 from .base import Node
 
+if TYPE_CHECKING:
+    from ..engine import BatchContext
+
 ChangeCallback = Callable[[Delta], None]
 
 
 class ProductionNode(Node):
     """Holds the view's bag of result rows and notifies subscribers.
 
-    In per-event mode every applied delta fires the change callbacks
-    immediately.  During a batch (``begin_batch`` … ``end_batch``) the
-    partial output deltas are buffered instead and the callbacks fire
-    exactly once, at ``end_batch``, with the consolidated net delta — or
-    not at all when the batch nets to nothing.
+    Outside a batch every applied delta fires the change callbacks
+    immediately.  While the engine's :class:`~repro.rete.engine.BatchContext`
+    is open, the first non-empty ``apply`` enlists the node in the batch's
+    dirty list and buffers its partial output deltas; the engine's merge
+    phase then calls :meth:`flush` on the enlisted nodes only, which fires
+    the callbacks exactly once with the consolidated net delta — or not at
+    all when the batch nets to nothing.  A node with buffered deltas stays
+    enlisted until flushed, so changes that reach it from a write issued by
+    another view's callback mid-merge join the same net delta.
     """
 
     def __init__(self, schema, interner=None):
@@ -32,24 +39,21 @@ class ProductionNode(Node):
         #: result-bag keys are interned through the engine row pool when
         #: given (see :class:`~repro.rete.deltas.RowInterner`)
         self.interner = interner
+        #: the owning engine's batch context and this view's registration
+        #: rank (the merge flushes in that order); set by the engine
+        self.batch: "BatchContext | None" = None
+        self.order = 0
         self._callbacks: list[ChangeCallback] = []
-        self._batch_depth = 0
+        #: buffered partial deltas; non-empty exactly while enlisted
         self._pending: list[Delta] = []
 
     def on_change(self, callback: ChangeCallback) -> None:
         self._callbacks.append(callback)
 
-    def begin_batch(self) -> None:
-        """Start buffering change notifications (re-entrant)."""
-        self._batch_depth += 1
-
-    def end_batch(self) -> None:
-        """Fire callbacks once with the batch's net output delta."""
-        self._batch_depth -= 1
-        if self._batch_depth > 0:
-            return
+    def flush(self) -> None:
+        """Fire callbacks once with the buffered net output delta."""
         pending, self._pending = self._pending, []
-        net = merged(pending)
+        net = pending[0] if len(pending) == 1 else merged(pending)
         if net:
             for callback in self._callbacks:
                 callback(net)
@@ -69,14 +73,21 @@ class ProductionNode(Node):
                 )
             if after != before:
                 real.add(row, after - before)
-        if real:
-            if self._batch_depth > 0:
-                self._pending.append(real)
-            else:
-                for callback in self._callbacks:
-                    callback(real)
+        if not real:
+            return
+        pending = self._pending
+        if pending:
+            pending.append(real)
+        elif self.batch is not None and self.batch.open:
+            pending.append(real)
+            self.batch.dirty.append(self)
+        else:
+            for callback in self._callbacks:
+                callback(real)
 
     def dispose(self) -> None:
+        # a view detached mid-merge is not notified of its buffered deltas
+        self._pending = []
         if self.interner is not None:
             self.interner.release_all(self.results)
 

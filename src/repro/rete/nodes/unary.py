@@ -342,7 +342,7 @@ class BindingIndexedSelectionNode(Node):
                             routed[id(facade)] = slot
                         slot[1].append(row)
                         slot[2].append(multiplicity)
-        width = len(self.schema.names)
+        width = len(self.schema)
         for facade, out_rows, out_mults in routed.values():
             facade.emit(ColumnDelta.from_rows(out_rows, out_mults, width))
 
@@ -364,7 +364,7 @@ class ProjectionNode(Node):
                 tuple(fn(row, ctx) for fn in items) for row in delta.rows()
             ]
             return ColumnDelta.from_rows(
-                out_rows, delta.mults, len(self.schema.names)
+                out_rows, delta.mults, len(self.schema)
             )
         out = Delta()
         for row, multiplicity in delta.items():
@@ -447,7 +447,7 @@ class UnwindNode(Node):
                     out_rows.append(row + (element,))
                     out_mults.append(multiplicity)
             return ColumnDelta.from_rows(
-                out_rows, out_mults, len(self.schema.names)
+                out_rows, out_mults, len(self.schema)
             )
         out = Delta()
         for row, multiplicity in delta.items():

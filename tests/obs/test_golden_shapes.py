@@ -159,6 +159,26 @@ class TestCliObservability:
         assert status == 0
         assert "usage: :metrics [json|table]" in output
 
+    def test_metrics_table_shows_views_enlisted_per_batch(self):
+        status, output = run_shell(
+            ":register MATCH (c:Comm) RETURN c.lang AS lang\n"
+            + self.SETUP
+            + ":metrics table\n",
+            "--metrics",
+            "--batch-transactions",
+        )
+        assert status == 0
+        enlisted_line = next(
+            line
+            for line in output.splitlines()
+            if line.startswith("repro_batch_views_enlisted")
+        )
+        # one batch, which reached the Post view but not the Comm view;
+        # a count histogram reads out bucket bounds, not durations
+        assert enlisted_line.split()[1:] == [
+            "histogram", "count", "1", "sum", "1", "p50", "1", "p99", "1",
+        ]
+
     def test_trace_toggle_and_render(self):
         script = (
             ":trace\n"

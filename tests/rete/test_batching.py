@@ -8,11 +8,14 @@ recomputation — the IVM property, batched.
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 
 from repro import PropertyGraph, QueryEngine
-from repro.errors import TransactionError
+from repro.errors import EvaluationError, TransactionError
 from repro.rete.batch import BatchAccumulator
+from repro.rete.nodes import ProductionNode
 from repro.workloads import social
 
 from ..conftest import PAPER_QUERY, assert_view_matches_oracle
@@ -354,3 +357,149 @@ def test_per_event_path_unchanged_without_opt_in():
     graph.add_vertex(labels=["Post"], properties={"lang": "en"})
     graph.add_vertex(labels=["Post"], properties={"lang": "de"})
     assert len(deltas) == 2
+
+
+# ---------------------------------------------------------------------------
+# enlist-on-apply merge
+# ---------------------------------------------------------------------------
+
+
+def record(log):
+    """An ``on_change`` callback appending each delta to *log* as a dict."""
+    return lambda delta: log.append(dict(delta.items()))
+
+
+def test_batch_touching_one_view_flushes_one_production(monkeypatch):
+    graph = PropertyGraph()
+    engine = QueryEngine(graph, collect_metrics=True)
+    views = [
+        engine.register(f"MATCH (n:L{index}) RETURN n.x AS x")
+        for index in range(8)
+    ]
+    notified = []
+    for index, view in enumerate(views):
+        view.on_change(lambda delta, index=index: notified.append(index))
+    flushed = []
+    original = ProductionNode.flush
+
+    def counting_flush(production):
+        flushed.append(production)
+        original(production)
+
+    monkeypatch.setattr(ProductionNode, "flush", counting_flush)
+
+    with engine.batch():
+        graph.add_vertex(labels=["L5"], properties={"x": 1})
+
+    assert flushed == [views[5].network.production]
+    assert notified == [5]
+    enlisted = engine.metrics_snapshot()["repro_batch_views_enlisted"]
+    assert (enlisted["count"], enlisted["sum"]) == (1, 1)
+
+
+def test_enlisted_views_fire_in_registration_order():
+    graph = PropertyGraph()
+    engine = QueryEngine(graph)
+    order = []
+    # the third view reads the first view's (older) A input, so dispatch
+    # reaches it before the second view, which reads B
+    for name, label in (("a1", "A"), ("b", "B"), ("a2", "A"), ("c", "C")):
+        view = engine.register(f"MATCH (n:{label}) RETURN n.x AS {name}")
+        view.on_change(lambda delta, name=name: order.append(name))
+
+    with engine.batch():  # touches A and B, not C
+        graph.add_vertex(labels=["B"], properties={"x": 1})
+        graph.add_vertex(labels=["A"], properties={"x": 1})
+
+    assert order == ["a1", "b", "a2"]
+
+
+def test_evaluation_error_mid_dispatch_closes_the_batch():
+    graph = PropertyGraph()
+    engine = QueryEngine(graph)
+    plain = engine.register("MATCH (p:P) RETURN p.x AS x")
+    # registered second, so the shared P input reaches `plain` first
+    engine.register("MATCH (p:P) WHERE 10 / p.x > 1 RETURN p.x AS x")
+    deltas = []
+    plain.on_change(record(deltas))
+
+    with pytest.raises(EvaluationError):
+        with engine.batch():
+            graph.add_vertex(labels=["P"], properties={"x": 0})
+    # the production enlisted before the error is still flushed
+    assert deltas == [{(0,): 1}]
+    assert not engine._incremental._batch.open
+
+    graph.add_vertex(labels=["P"], properties={"x": 5})  # per-event
+    assert deltas[-1] == {(5,): 1}
+    with engine.batch():
+        graph.add_vertex(labels=["P"], properties={"x": 2})
+    assert deltas[-1] == {(2,): 1}
+    assert sorted(plain.rows()) == [(0,), (2,), (5,)]
+
+
+@pytest.mark.parametrize("nested", ["per-event", "batch", "transaction"])
+def test_callback_write_during_merge(nested):
+    """A write issued by a callback mid-merge notifies each view it reaches
+    once: a view already flushed gets a second callback with the nested
+    delta, a view still awaiting its flush folds the nested change into its
+    one net delta."""
+    graph = PropertyGraph()
+    engine = QueryEngine(graph, batch_transactions=nested == "transaction")
+    posts = engine.register("MATCH (p:Post) RETURN p.lang AS lang")
+    comms = engine.register("MATCH (c:Comm) RETURN c.lang AS lang")
+    post_deltas, comm_deltas = [], []
+    scopes = {
+        "per-event": contextlib.nullcontext,
+        "batch": engine.batch,
+        "transaction": graph.transaction,
+    }
+
+    def write_back(delta):
+        post_deltas.append(dict(delta.items()))
+        if len(post_deltas) == 1:
+            with scopes[nested]():
+                graph.add_vertex(labels=["Comm"], properties={"lang": "de"})
+                graph.add_vertex(labels=["Post"], properties={"lang": "de"})
+
+    posts.on_change(write_back)
+    comms.on_change(record(comm_deltas))
+
+    with graph.transaction() if nested == "transaction" else engine.batch():
+        graph.add_vertex(labels=["Comm"], properties={"lang": "en"})
+        graph.add_vertex(labels=["Post"], properties={"lang": "en"})
+
+    assert post_deltas == [{("en",): 1}, {("de",): 1}]
+    assert comm_deltas == [{("en",): 1, ("de",): 1}]
+    assert_view_matches_oracle(engine, posts, "MATCH (p:Post) RETURN p.lang AS lang")
+    assert_view_matches_oracle(engine, comms, "MATCH (c:Comm) RETURN c.lang AS lang")
+
+
+def test_view_detached_by_another_callback_mid_merge_is_not_notified():
+    graph = PropertyGraph()
+    engine = QueryEngine(graph)
+    query = "MATCH (p:Post) RETURN p.lang AS lang"
+    keeper = engine.register(query)
+    doomed = engine.register(query)
+    kept, lost = [], []
+
+    def detach_other(delta):
+        kept.append(dict(delta.items()))
+        if len(kept) == 1:
+            doomed.detach()
+
+    keeper.on_change(detach_other)
+    doomed.on_change(record(lost))
+
+    with engine.batch():
+        graph.add_vertex(labels=["Post"], properties={"lang": "en"})
+
+    assert kept == [{("en",): 1}]
+    assert lost == []  # detached before its flush came round
+    assert engine.views == (keeper,)
+
+    with engine.batch():
+        graph.add_vertex(labels=["Post"], properties={"lang": "de"})
+    assert kept[-1] == {("de",): 1}
+    assert lost == []
+    assert_view_matches_oracle(engine, keeper, query)
